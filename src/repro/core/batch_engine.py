@@ -65,6 +65,7 @@ __all__ = [
     "PeriodicRunResult",
     "build_bitonic_passes",
     "make_scheduler",
+    "window_key_table",
 ]
 
 # SchedulingMode -> small integer codes for vectorized masking.
@@ -84,6 +85,46 @@ _ARR_MASK = ARRIVAL_FIELD.mask
 _ARR_MOD = ARRIVAL_FIELD.modulus
 _ARR_HALF = ARRIVAL_FIELD.half
 _Y_MAX = LOSS_DEN_FIELD.mask
+
+#: Fixed-point scale for the window-constraint ratio key.  ``x`` and
+#: ``y`` are 8-bit fields, so two distinct ratios differ by at least
+#: ``1/(255*255) = 1/65025``; scaling by ``2**16 = 65536`` stretches
+#: every such gap past 1, making ``(x << 16) // y`` *order-exact*:
+#: floored keys compare identically to the exact rationals (and equal
+#: rationals floor to equal keys).  This replaces the float ``x / y``
+#: lexsort key with an integer one that sorts identically on every
+#: backend.
+_WC_SHIFT = 16
+
+
+@functools.cache
+def window_key_table() -> np.ndarray:
+    """Table 2 rules 2–4 as one int64 key per window-counter pair.
+
+    Entry ``x' << 8 | y'`` (both counters are 8-bit fields) packs the
+    three window-constraint keys — ratio, denominator, numerator — into
+    one word whose ascending order is their lexicographic order, so a
+    rank reads one gather instead of recomputing the keys from the
+    live counters.  Built on first use.
+    """
+    # Built in place on a (x', y') grid so that no full-size temporary
+    # outlives a statement (the build would otherwise set the peak RSS
+    # of a short run).
+    x = np.arange(256, dtype=np.int64)[:, None]
+    y = np.arange(256, dtype=np.int64)
+    # Live ratio: order-exact fixed-point ratio, den key 255 (below),
+    # num key x.  max(y, 1) only avoids dividing by zero; those entries
+    # are zero-ratio and overwritten next.
+    table = (x << _WC_SHIFT) // np.maximum(y, 1)
+    table <<= 16
+    table |= (255 << 8) | x
+    # Zero ratio (x == 0 or y == 0): ratio and num keys 0, den key -y
+    # shifted by +255 so it packs as an unsigned 8-bit lane (order is
+    # translation-invariant).
+    np.copyto(table, (255 - y) << 8, where=(x == 0) | (y == 0))
+    table = table.reshape(-1)
+    table.flags.writeable = False  # one instance shared by every caller
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -516,13 +557,8 @@ class BatchScheduler:
         invalid = ~valid
         if self._deadline_only:
             return np.lexsort((self._sid, arr, dl, invalid))
-        zero_wc = (x == 0) | (y == 0)
-        # x / max(y, 1) is exact in float64 for 8-bit ratios and never
-        # divides by zero; zero-constraint slots are forced to 0.0.
-        wc = np.where(zero_wc, 0.0, x / np.where(y == 0, 1, y))
-        den_key = np.where(zero_wc, -y, 0)
-        num_key = np.where(zero_wc, 0, x)
-        return np.lexsort((self._sid, arr, num_key, den_key, wc, dl, invalid))
+        window = window_key_table()[(x << 8) | y]
+        return np.lexsort((self._sid, arr, window, dl, invalid))
 
     def _emit_positions(self, order: np.ndarray) -> np.ndarray:
         """Slot IDs in emitted network-position order (BA block).
@@ -648,7 +684,8 @@ class BatchScheduler:
             emitted = self._emit_positions(rank_order)
             order = emitted[valid[emitted]].tolist()
         passes = self._schedule_passes
-        self.control.schedule(passes, detail=f"t={now}")
+        control = self.control
+        control.schedule(passes, detail=f"t={now}" if control.trace else "")
 
         # Miss registration (performance counters, Table 3).
         misses: list[int] = []
@@ -698,8 +735,9 @@ class BatchScheduler:
                     if packet is not None:
                         serviced.append((sid, PendingPacket(*packet)))
             self._wins[circulated] += 1
-        self.control.priority_update(
-            self.config.update_cycles, detail=f"circulate={circulated}"
+        control.priority_update(
+            self.config.update_cycles,
+            detail=f"circulate={circulated}" if control.trace else "",
         )
 
         outcome = DecisionOutcome(
@@ -815,6 +853,7 @@ class BatchScheduler:
             np.full(n_cycles, -1, dtype=np.int64) if collect_winners else None
         )
         update_cycles = self.config.update_cycles
+        trace = self.control.trace
         t = 0
         while t < n_cycles:
             avail = consumed * strides
@@ -836,7 +875,7 @@ class BatchScheduler:
                     t = nxt
                 else:
                     self.control.schedule(
-                        self._schedule_passes, detail=f"t={t}"
+                        self._schedule_passes, detail=f"t={t}" if trace else ""
                     )
                     self.control.priority_update(
                         update_cycles, detail="circulate=None"
@@ -885,9 +924,12 @@ class BatchScheduler:
             self._wins[circulated] += 1
             if winners is not None:
                 winners[t] = circulated
-            self.control.schedule(self._schedule_passes, detail=f"t={t}")
+            self.control.schedule(
+                self._schedule_passes, detail=f"t={t}" if trace else ""
+            )
             self.control.priority_update(
-                update_cycles, detail=f"circulate={circulated}"
+                update_cycles,
+                detail=f"circulate={circulated}" if trace else "",
             )
             t += 1
         result = PeriodicRunResult(

@@ -77,6 +77,22 @@ class DecisionBlock:
             return DecisionResult(a, b, rule)
         return DecisionResult(b, a, rule)
 
+    def order(
+        self, a: HardwareAttributes, b: HardwareAttributes
+    ) -> tuple[HardwareAttributes, HardwareAttributes]:
+        """:meth:`decide` without the result record: ``(winner, loser)``.
+
+        The network's per-pass path.  The decision and per-rule counters
+        move exactly as under :meth:`decide`.
+        """
+        result, rule = compare_with_rule(
+            a, b, wrap=self.wrap, deadline_only=self.deadline_only
+        )
+        self.decisions += 1
+        counts = self.rule_counts
+        counts[rule] = counts.get(rule, 0) + 1
+        return (a, b) if result < 0 else (b, a)
+
     def reset_counters(self) -> None:
         """Clear the decision and per-rule fire counters."""
         self.decisions = 0

@@ -28,7 +28,7 @@ to cross-validate against the pure-software reference disciplines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "DEADLINE_BITS",
@@ -72,25 +72,27 @@ class FieldSpec:
         Human-readable field name (used in error messages and traces).
     bits:
         Field width in bits.
+    modulus:
+        Number of representable values (``2**bits``).
+    mask:
+        Bit mask selecting the field (``2**bits - 1``).
+    half:
+        Half the modulus; the serial-arithmetic comparison horizon.
+
+    The derived values are computed once at construction: :meth:`check`
+    runs on every attribute-bundle snapshot.
     """
 
     name: str
     bits: int
+    modulus: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+    half: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def modulus(self) -> int:
-        """Number of representable values (``2**bits``)."""
-        return 1 << self.bits
-
-    @property
-    def mask(self) -> int:
-        """Bit mask selecting the field (``2**bits - 1``)."""
-        return self.modulus - 1
-
-    @property
-    def half(self) -> int:
-        """Half the modulus; the serial-arithmetic comparison horizon."""
-        return 1 << (self.bits - 1)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", 1 << self.bits)
+        object.__setattr__(self, "mask", (1 << self.bits) - 1)
+        object.__setattr__(self, "half", 1 << (self.bits - 1))
 
     def check(self, value: int) -> int:
         """Validate that ``value`` fits in the field and return it.

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.fields import (
-    ARRIVAL_BITS,
     ARRIVAL_FIELD,
-    DEADLINE_BITS,
     DEADLINE_FIELD,
     serial_cmp,
 )
@@ -59,6 +57,26 @@ class Rule(enum.Enum):
     LOWEST_NUMERATOR_EQUAL_WC = "lowest_numerator_equal_wc"
     FCFS = "fcfs"
     STREAM_ID = "stream_id"  # deterministic final tie-break (lower sid)
+
+    # Enum equality is identity, so identity hashing is consistent with
+    # it and keeps the per-block ``rule_counts`` bumps in C (the
+    # inherited ``Enum.__hash__`` is a Python-level call).
+    __hash__ = object.__hash__
+
+
+# Module-level aliases and 16-bit serial-compare constants for the hot
+# path of :func:`compare_with_rule`.
+_VALIDITY = Rule.VALIDITY
+_EARLIEST_DEADLINE = Rule.EARLIEST_DEADLINE
+_LOWEST_WINDOW_CONSTRAINT = Rule.LOWEST_WINDOW_CONSTRAINT
+_HIGHEST_DENOMINATOR_ZERO_WC = Rule.HIGHEST_DENOMINATOR_ZERO_WC
+_LOWEST_NUMERATOR_EQUAL_WC = Rule.LOWEST_NUMERATOR_EQUAL_WC
+_FCFS = Rule.FCFS
+_STREAM_ID = Rule.STREAM_ID
+_DL_MASK = DEADLINE_FIELD.mask
+_DL_HALF = DEADLINE_FIELD.half
+_ARR_MASK = ARRIVAL_FIELD.mask
+_ARR_HALF = ARRIVAL_FIELD.half
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,47 +131,49 @@ def compare_with_rule(
     The hot path of the decision network — same priority encoding as
     :func:`evaluate` but without materializing the predicate vector.
     ``result`` is ``-1`` when ``a`` precedes, ``+1`` when ``b`` does.
+    The 16-bit serial compare of :func:`~repro.core.fields.serial_cmp`
+    is inlined, and each attribute is read once.
     """
-    if a.valid != b.valid:
-        return (-1 if a.valid else 1), Rule.VALIDITY
-    if wrap:
-        dl = serial_cmp(a.deadline, b.deadline, DEADLINE_BITS)
-    else:
-        dl = (a.deadline > b.deadline) - (a.deadline < b.deadline)
-    if dl:
-        return dl, Rule.EARLIEST_DEADLINE
+    a_valid = a.valid
+    if a_valid != b.valid:
+        return (-1 if a_valid else 1), _VALIDITY
+    a_dl = a.deadline
+    b_dl = b.deadline
+    if a_dl != b_dl:
+        if wrap:
+            return (
+                1 if ((a_dl - b_dl) & _DL_MASK) < _DL_HALF else -1
+            ), _EARLIEST_DEADLINE
+        return (1 if a_dl > b_dl else -1), _EARLIEST_DEADLINE
     if not deadline_only:
-        a_zero = a.loss_numerator == 0 or a.loss_denominator == 0
-        b_zero = b.loss_numerator == 0 or b.loss_denominator == 0
+        a_num = a.loss_numerator
+        a_den = a.loss_denominator
+        b_num = b.loss_numerator
+        b_den = b.loss_denominator
+        a_zero = a_num == 0 or a_den == 0
+        b_zero = b_num == 0 or b_den == 0
         if a_zero and b_zero:
-            den = (a.loss_denominator > b.loss_denominator) - (
-                a.loss_denominator < b.loss_denominator
-            )
-            if den:
-                return -den, Rule.HIGHEST_DENOMINATOR_ZERO_WC
+            if a_den != b_den:
+                return (-1 if a_den > b_den else 1), _HIGHEST_DENOMINATOR_ZERO_WC
         elif a_zero != b_zero:
             # Exactly one zero constraint: zero (= lowest) orders first.
-            return (-1 if a_zero else 1), Rule.LOWEST_WINDOW_CONSTRAINT
+            return (-1 if a_zero else 1), _LOWEST_WINDOW_CONSTRAINT
         else:
-            lhs = a.loss_numerator * b.loss_denominator
-            rhs = b.loss_numerator * a.loss_denominator
+            lhs = a_num * b_den
+            rhs = b_num * a_den
             if lhs != rhs:
-                return (
-                    (1 if lhs > rhs else -1),
-                    Rule.LOWEST_WINDOW_CONSTRAINT,
-                )
-            num = (a.loss_numerator > b.loss_numerator) - (
-                a.loss_numerator < b.loss_numerator
-            )
-            if num:
-                return num, Rule.LOWEST_NUMERATOR_EQUAL_WC
-    if wrap:
-        arr = serial_cmp(a.arrival, b.arrival, ARRIVAL_BITS)
-    else:
-        arr = (a.arrival > b.arrival) - (a.arrival < b.arrival)
-    if arr:
-        return arr, Rule.FCFS
-    return (-1 if a.sid <= b.sid else 1), Rule.STREAM_ID
+                return (1 if lhs > rhs else -1), _LOWEST_WINDOW_CONSTRAINT
+            if a_num != b_num:
+                return (1 if a_num > b_num else -1), _LOWEST_NUMERATOR_EQUAL_WC
+    a_arr = a.arrival
+    b_arr = b.arrival
+    if a_arr != b_arr:
+        if wrap:
+            return (
+                1 if ((a_arr - b_arr) & _ARR_MASK) < _ARR_HALF else -1
+            ), _FCFS
+        return (1 if a_arr > b_arr else -1), _FCFS
+    return (-1 if a.sid <= b.sid else 1), _STREAM_ID
 
 
 def evaluate(

@@ -238,7 +238,8 @@ class ShareStreamsScheduler:
         result = self.network.run(
             self._gather_bundles(), winner_only=self.config.winner_only
         )
-        self.control.schedule(result.passes, detail=f"t={now}")
+        control = self.control
+        control.schedule(result.passes, detail=f"t={now}" if control.trace else "")
 
         order = [b.sid for b in result.order if b.valid]
 
@@ -292,8 +293,9 @@ class ShareStreamsScheduler:
                     if packet is not None:
                         serviced.append((sid, packet))
             self.slot(circulated).record_win()
-        self.control.priority_update(
-            self.config.update_cycles, detail=f"circulate={circulated}"
+        control.priority_update(
+            self.config.update_cycles,
+            detail=f"circulate={circulated}" if control.trace else "",
         )
 
         outcome = DecisionOutcome(

@@ -28,6 +28,7 @@ See DESIGN.md ("Known interpretation points") for why both exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.decision_block import DecisionBlock
@@ -57,6 +58,50 @@ def perfect_shuffle(items: list) -> list:
         out[2 * i] = items[i]
         out[2 * i + 1] = items[i + half]
     return out
+
+
+@cache
+def _pass_schedule(
+    n_slots: int, schedule: str
+) -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
+    """Comparator wiring of every pass of one SCHEDULE phase.
+
+    One tuple per pass, holding per comparator
+    ``(block, src_a, src_b, dst_winner, dst_loser)``: Decision block
+    ``block`` orders positions ``src_a`` and ``src_b`` of the state the
+    pass reads and writes its winner and loser to positions
+    ``dst_winner`` and ``dst_loser`` of the state it emits.  Every
+    position is read and written exactly once per pass.  The wiring
+    depends only on the width and schedule, so it is derived once per
+    ``(n_slots, schedule)`` on first use.
+    """
+    half = n_slots // 2
+    if schedule == "paper":
+        # Perfect shuffle then compare-exchange of adjacent pairs: block
+        # ``j`` receives elements ``j`` and ``j + N/2``.
+        exchange = tuple(
+            (j, j, j + half, 2 * j, 2 * j + 1) for j in range(half)
+        )
+        return (exchange,) * (n_slots.bit_length() - 1)
+    # Batcher bitonic geometry; each stage maps onto one recirculation
+    # pass of the N/2 physical comparators (the steering muxes select
+    # the operand routing).  Ascending pairs put the higher-priority
+    # bundle at the lower index.
+    passes = []
+    k = 2
+    while k <= n_slots:
+        j = k // 2
+        while j >= 1:
+            stage = []
+            for i in range(n_slots):
+                partner = i ^ j
+                if partner > i:
+                    dst = (i, partner) if (i & k) == 0 else (partner, i)
+                    stage.append((len(stage), i, partner) + dst)
+            passes.append(tuple(stage))
+            j //= 2
+        k *= 2
+    return tuple(passes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +168,7 @@ class ShuffleExchangeNetwork:
             DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
             for i in range(n_slots // 2)
         ]
+        self._plans: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -134,61 +180,17 @@ class ShuffleExchangeNetwork:
             return k
         return k * (k + 1) // 2
 
-    def _exchange(
-        self, state: list[HardwareAttributes]
-    ) -> list[HardwareAttributes]:
-        """One pass: perfect shuffle then pairwise compare-exchange."""
-        state = perfect_shuffle(state)
-        for j, block in enumerate(self.blocks):
-            a, b = state[2 * j], state[2 * j + 1]
-            result = block.decide(a, b)
-            state[2 * j] = result.winner
-            state[2 * j + 1] = result.loser
-        return state
-
-    def _run_paper(
-        self, bundles: list[HardwareAttributes]
-    ) -> tuple[list[HardwareAttributes], int]:
-        state = list(bundles)
-        passes = self.n_slots.bit_length() - 1
-        for _ in range(passes):
-            state = self._exchange(state)
-        return state, passes
-
-    def _run_bitonic(
-        self, bundles: list[HardwareAttributes]
-    ) -> tuple[list[HardwareAttributes], int]:
-        """Batcher bitonic sort using the same comparator pool.
-
-        Pair geometry follows the classic network; each stage maps onto
-        one recirculation pass of the ``N/2`` physical comparators (the
-        steering muxes select the operand routing).  Ascending pairs put
-        the higher-priority bundle at the lower index.
-        """
-        state = list(bundles)
-        n = self.n_slots
-        passes = 0
-        block_cursor = 0
-        k = 2
-        while k <= n:
-            j = k // 2
-            while j >= 1:
-                for i in range(n):
-                    partner = i ^ j
-                    if partner <= i:
-                        continue
-                    ascending = (i & k) == 0
-                    block = self.blocks[block_cursor % len(self.blocks)]
-                    block_cursor += 1
-                    result = block.decide(state[i], state[partner])
-                    if ascending:
-                        state[i], state[partner] = result.winner, result.loser
-                    else:
-                        state[i], state[partner] = result.loser, result.winner
-                passes += 1
-                j //= 2
-            k *= 2
-        return state, passes
+    def _plan(self, schedule: str) -> tuple:
+        """``_pass_schedule`` bound to this network's blocks."""
+        plan = self._plans.get(schedule)
+        if plan is None:
+            orders = [block.order for block in self.blocks]
+            plan = tuple(
+                tuple((orders[k], *wiring) for k, *wiring in stage)
+                for stage in _pass_schedule(self.n_slots, schedule)
+            )
+            self._plans[schedule] = plan
+        return plan
 
     # ------------------------------------------------------------------
 
@@ -214,12 +216,20 @@ class ShuffleExchangeNetwork:
             raise ValueError(
                 f"expected {self.n_slots} bundles, got {len(bundles)}"
             )
-        before = sum(b.decisions for b in self.blocks)
-        if self.schedule == "bitonic" and not winner_only:
-            order, passes = self._run_bitonic(bundles)
-        else:
-            order, passes = self._run_paper(bundles)
-        comparisons = sum(b.decisions for b in self.blocks) - before
+        plan = self._plan(
+            "bitonic"
+            if self.schedule == "bitonic" and not winner_only
+            else "paper"
+        )
+        n = self.n_slots
+        order = bundles
+        for stage in plan:
+            nxt = [None] * n
+            for order_pair, src_a, src_b, dst_w, dst_l in stage:
+                nxt[dst_w], nxt[dst_l] = order_pair(order[src_a], order[src_b])
+            order = nxt
+        passes = len(plan)
+        comparisons = passes * (n // 2)
         if winner_only:
             order = [order[0]]
         return NetworkResult(order=order, passes=passes, comparisons=comparisons)

@@ -48,6 +48,7 @@ makes the order total.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 
@@ -68,6 +69,7 @@ from repro.core.batch_engine import (
     PeriodicRunResult,
     build_bitonic_passes,
     build_shuffle_permutation,
+    window_key_table,
 )
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
@@ -84,18 +86,14 @@ __all__ = [
 
 _EDF = _MODE_CODE[SchedulingMode.EDF]
 
-#: Fixed-point scale for the window-constraint ratio key.  ``x`` and
-#: ``y`` are 8-bit fields, so two distinct ratios differ by at least
-#: ``1/(255*255) = 1/65025``; scaling by ``2**16 = 65536`` stretches
-#: every such gap past 1, making ``(x << 16) // y`` *order-exact*:
-#: floored keys compare identically to the exact rationals (and equal
-#: rationals floor to equal keys).  This replaces the float ``x / y``
-#: lexsort key with an integer one that sorts identically on every
-#: backend.
-_WC_SHIFT = 16
-
 #: int64 sentinel larger than any release boundary (idle fast-forward).
 _FAR_FUTURE = 2**62
+
+
+@functools.cache
+def _window_table(bk: ArrayApiBackend):
+    """:func:`~repro.core.batch_engine.window_key_table` on ``bk``."""
+    return bk.from_numpy(window_key_table())
 
 
 def table2_rank_order(
@@ -119,8 +117,10 @@ def table2_rank_order(
     cascade runs as stable argsort passes from least- to
     most-significant key; the three bounded window-constraint keys
     (ratio, denominator, numerator — 8-bit fields) pack into one
-    integer word so the full cascade costs at most three passes on top
-    of the implicit slot-order (``sid``) base case.  Because ``sid`` is
+    integer word, read from
+    :func:`~repro.core.batch_engine.window_key_table`, so the full
+    cascade costs at most three passes on top of the implicit
+    slot-order (``sid``) base case.  Because ``sid`` is
     unique per scenario the order is total, so any correct sort yields
     the *identical* permutation — byte-identity with the historical
     NumPy path holds by construction and is asserted by the hypothesis
@@ -131,30 +131,26 @@ def table2_rank_order(
     deadline/arrival keys, ``x``/``y`` the live window-constraint
     counters (ignored when ``deadline_only``).
     """
+    shape = arr.shape
+    s_count, n = shape
+
+    def flat(a):
+        return bk.reshape(a, (-1,))
+
+    # The cascade carries the order as flat row-major indices, so every
+    # gather is one 1-D take (rows offset by ``row0``).
+    row0 = bk.reshape(bk.arange(s_count) * n, (s_count, 1))
     # Base case: the identity order along the slot axis IS the sid key,
     # and every later pass is stable, so ties keep ascending sid.
-    order = bk.argsort_stable(arr)
-    if not deadline_only:
-        zero_wc = (x == 0) | (y == 0)
-        wc_key = bk.where(
-            zero_wc, 0, (x << _WC_SHIFT) // bk.where(y == 0, 1, y)
-        )
-        # den key is -y for zero-ratio slots, else 0; shift by +255 so
-        # it packs as an unsigned 8-bit lane (order is translation-
-        # invariant).  num key is x for live-ratio slots, else 0.
-        den_key = bk.where(zero_wc, 255 - y, 255)
-        num_key = bk.where(zero_wc, 0, x)
-        packed = (wc_key << 16) | (den_key << 8) | num_key
-        order = bk.take_along_last(
-            order, bk.argsort_stable(bk.take_along_last(packed, order))
-        )
-    order = bk.take_along_last(
-        order, bk.argsort_stable(bk.take_along_last(dl, order))
-    )
-    inv = bk.astype(invalid, bk.int64)
-    return bk.take_along_last(
-        order, bk.argsort_stable(bk.take_along_last(inv, order))
-    )
+    order = flat(bk.argsort_stable(arr) + row0)
+    keys = [] if deadline_only else [
+        bk.take(_window_table(bk), flat((x << 8) | y), axis=0)
+    ]
+    keys += [flat(dl), flat(bk.astype(invalid, bk.int64))]
+    for key in keys:
+        ranked = bk.reshape(bk.take(key, order, axis=0), shape)
+        order = bk.take(order, flat(bk.argsort_stable(ranked) + row0), axis=0)
+    return bk.reshape(order, shape) - row0
 
 
 def _per_scenario(value, n_scenarios: int, name: str) -> list:
@@ -803,7 +799,8 @@ class CampaignEngine:
                 for s in range(s_count)
             ]
         passes = self._schedule_passes
-        self.control.schedule(passes, detail=f"t={now}")
+        control = self.control
+        control.schedule(passes, detail=f"t={now}" if control.trace else "")
         if profile is not None:
             _t1 = time.perf_counter()
             acc = profile["schedule"]
@@ -890,8 +887,9 @@ class CampaignEngine:
                     dropped=tuple(dropped[s]),
                 )
             )
-        self.control.priority_update(
-            update_cycles, detail=f"circulate={any_circulated}"
+        control.priority_update(
+            update_cycles,
+            detail=f"circulate={any_circulated}" if control.trace else "",
         )
         if profile is not None:
             acc = profile["priority_update"]
@@ -1038,6 +1036,7 @@ class CampaignEngine:
             else None
         )
         update_cycles = self.config.update_cycles
+        trace = self.control.trace
         iota = self._iota
         have_streams = bk.any(loaded)
 
@@ -1062,7 +1061,7 @@ class CampaignEngine:
                     t = nxt
                 else:
                     self.control.schedule(
-                        self._schedule_passes, detail=f"t={t}"
+                        self._schedule_passes, detail=f"t={t}" if trace else ""
                     )
                     self.control.priority_update(
                         update_cycles, detail="circulate=None"
@@ -1135,7 +1134,9 @@ class CampaignEngine:
                 winners[active_np, t] = np.asarray(bk.to_numpy(circulated))[
                     active_np
                 ]
-            self.control.schedule(self._schedule_passes, detail=f"t={t}")
+            self.control.schedule(
+                self._schedule_passes, detail=f"t={t}" if trace else ""
+            )
             self.control.priority_update(
                 update_cycles, detail="circulate=<campaign>"
             )

@@ -8,9 +8,12 @@ transmission-engine threads draining scheduled streams to the network
 time-ordered heap of callbacks with deterministic FIFO ordering among
 simultaneous events.
 
-Kept deliberately small (schedule / cancel / run) per the profiling
-guidance: the hot paths of the experiments are the vectorized metric
-computations, not the event loop.
+The loop is a hot path: a timed-arrival endsystem run pre-schedules
+one arrival event per frame and adds one service event per transmitted
+frame, so the heap holds thousands of events.  It therefore stores
+``(time, seq, event)`` tuples: every heap comparison runs in C on the
+``(time, seq)`` prefix, and since ``seq`` is unique an :class:`Event`
+(or its callback) is never compared.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Callable
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """One scheduled callback; orderable by (time, sequence)."""
 
@@ -47,7 +50,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_run = 0
 
@@ -69,8 +72,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        event = Event(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     # ------------------------------------------------------------------
@@ -78,7 +82,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)
 
     @property
     def events_run(self) -> int:
@@ -87,17 +91,19 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the next event.  Returns False when nothing is queued."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_run += 1
             event.callback(*event.args)
             return True

@@ -31,6 +31,7 @@ from repro.core.backend import (
     available_backends,
     resolve_backend,
 )
+from repro.core.batch_engine import window_key_table
 from repro.core.differential import generate_scenario, run_bucket
 from repro.core.tensor_engine import CampaignEngine, table2_rank_order
 from tests.strategies import bucketed, random_arch_streams
@@ -168,6 +169,25 @@ class TestPackedKeyCascade:
             invalid, dl, arr, x, y, deadline_only=False
         )
         np.testing.assert_array_equal(got, expected)
+
+    def test_window_key_table_orders_every_counter_pair(self):
+        """Over all 2^16 ``(x', y')`` pairs the table key sorts, and
+        ties, exactly like the pre-refactor float key triple."""
+        x, y = np.divmod(np.arange(1 << 16, dtype=np.int64), 1 << 8)
+        zero_wc = (x == 0) | (y == 0)
+        wc = np.where(zero_wc, 0.0, x / np.where(y == 0, 1, y))
+        den_key = np.where(zero_wc, -y, 0)
+        num_key = np.where(zero_wc, 0, x)
+        table = window_key_table()
+        order = np.lexsort((num_key, den_key, wc))
+        np.testing.assert_array_equal(
+            np.argsort(table, kind="stable"), order
+        )
+        triple = np.stack([wc, den_key, num_key])[:, order]
+        np.testing.assert_array_equal(
+            np.diff(table[order]) == 0,
+            (np.diff(triple, axis=1) == 0).all(axis=0),
+        )
 
     def test_ratio_ties_break_on_numerator(self):
         """1/2 vs 2/4: equal loss-constraint, ordered by raw numerator."""

@@ -1,5 +1,6 @@
 """Tests for the Table 2 pairwise ordering rules."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.core.rules import (
     evaluate,
     ordering_key,
 )
+from repro.core.fields import serial_cmp
 
 
 def attrs(
@@ -51,6 +53,62 @@ class TestRule1EarliestDeadline:
     def test_ideal_mode_disables_wrap(self):
         r = evaluate(attrs(deadline=65530), attrs(deadline=2), wrap=False)
         assert r.result == 1
+
+
+class TestSerialHorizon:
+    """The inlined 16-bit serial compare at the comparison horizon.
+
+    ``a`` follows ``b`` when ``(a - b) mod 2**16 < 2**15``.  At a
+    difference of exactly ``2**15`` both orders read "first operand
+    precedes" — the serial-number ambiguity the hardware comparator
+    shares, pinned here in both directions.
+    """
+
+    # (a - b, compare(a, b), compare(b, a))
+    CASES = [
+        (1 << 15, -1, -1),
+        ((1 << 15) - 1, 1, -1),
+        ((1 << 15) + 1, -1, 1),
+    ]
+
+    @pytest.mark.parametrize("delta,forward,reverse", CASES)
+    @pytest.mark.parametrize("base", [0, 100, 0xFFFF])
+    def test_deadline(self, delta, forward, reverse, base):
+        a = attrs(deadline=(base + delta) & 0xFFFF)
+        b = attrs(deadline=base)
+        assert compare_with_rule(a, b) == (forward, Rule.EARLIEST_DEADLINE)
+        assert compare_with_rule(b, a) == (reverse, Rule.EARLIEST_DEADLINE)
+        assert serial_cmp(a.deadline, b.deadline) == forward
+        assert evaluate(a, b).result == forward
+
+    @pytest.mark.parametrize("delta,forward,reverse", CASES)
+    @pytest.mark.parametrize("base", [0, 100, 0xFFFF])
+    def test_arrival(self, delta, forward, reverse, base):
+        a = attrs(deadline=7, x=1, y=2, arrival=(base + delta) & 0xFFFF)
+        b = attrs(deadline=7, x=1, y=2, arrival=base)
+        assert compare_with_rule(a, b) == (forward, Rule.FCFS)
+        assert compare_with_rule(b, a) == (reverse, Rule.FCFS)
+        assert serial_cmp(a.arrival, b.arrival) == forward
+        assert evaluate(a, b).result == forward
+
+    @pytest.mark.parametrize("delta", [case[0] for case in CASES])
+    def test_ideal_mode_is_plain_order(self, delta):
+        later = attrs(deadline=delta)
+        assert compare_with_rule(later, attrs(), wrap=False) == (
+            1, Rule.EARLIEST_DEADLINE,
+        )
+        assert compare_with_rule(attrs(), later, wrap=False) == (
+            -1, Rule.EARLIEST_DEADLINE,
+        )
+        tie = attrs(arrival=delta)
+        assert compare_with_rule(tie, attrs(), wrap=False) == (1, Rule.FCFS)
+        assert compare_with_rule(attrs(), tie, wrap=False) == (-1, Rule.FCFS)
+
+    def test_congruent_unmasked_values(self):
+        # Unequal but congruent mod 2**16: the serial difference is 0,
+        # which reads as "follows", exactly as serial_cmp decides.
+        a, b = attrs(deadline=1 << 16), attrs(deadline=0)
+        assert compare_with_rule(a, b)[0] == serial_cmp(1 << 16, 0) == 1
 
 
 class TestRule2LowestWindowConstraint:

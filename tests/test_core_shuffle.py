@@ -1,10 +1,13 @@
 """Tests for the recirculating shuffle-exchange network."""
 
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import HardwareAttributes
+from repro.core.decision_block import DecisionBlock
 from repro.core.rules import ordering_key
 from repro.core.shuffle import (
     ShuffleExchangeNetwork,
@@ -155,3 +158,113 @@ class TestReferenceOrder:
         net.run(bundles_for([1, 2, 3, 4]))
         net.reset_counters()
         assert all(b.decisions == 0 for b in net.blocks)
+
+
+# ----------------------------------------------------------------------
+# Naive oracle: the network as a per-pair DecisionBlock.decide loop over
+# a freshly shuffled state (paper) or the classic bitonic geometry.
+
+
+def _oracle(bundles, *, wrap, deadline_only, schedule, winner_only):
+    n = len(bundles)
+    blocks = [
+        DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
+        for i in range(n // 2)
+    ]
+    state = list(bundles)
+    passes = 0
+    if schedule == "bitonic" and not winner_only:
+        cursor = 0
+        k = 2
+        while k <= n:
+            j = k // 2
+            while j >= 1:
+                for i in range(n):
+                    partner = i ^ j
+                    if partner <= i:
+                        continue
+                    block = blocks[cursor % len(blocks)]
+                    cursor += 1
+                    r = block.decide(state[i], state[partner])
+                    if (i & k) == 0:
+                        state[i], state[partner] = r.winner, r.loser
+                    else:
+                        state[i], state[partner] = r.loser, r.winner
+                passes += 1
+                j //= 2
+            k *= 2
+    else:
+        for _ in range(n.bit_length() - 1):
+            state = perfect_shuffle(state)
+            for j, block in enumerate(blocks):
+                r = block.decide(state[2 * j], state[2 * j + 1])
+                state[2 * j], state[2 * j + 1] = r.winner, r.loser
+            passes += 1
+    if winner_only:
+        state = state[:1]
+    return state, passes, blocks
+
+
+_serial = st.one_of(
+    st.integers(0, 3),  # dense ties
+    st.integers(0, 0xFFFF),  # the whole 16-bit circle (wrap points)
+)
+_bundle = st.tuples(
+    _serial,  # deadline
+    st.integers(0, 3),  # loss numerator
+    st.integers(0, 3),  # loss denominator
+    _serial,  # arrival
+    st.booleans(),  # valid
+)
+
+
+class TestPassScheduleMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 6),
+        schedule=st.sampled_from(["paper", "bitonic"]),
+        wrap=st.booleans(),
+        deadline_only=st.booleans(),
+        winner_only=st.booleans(),
+    )
+    def test_order_passes_and_counters(
+        self, data, k, schedule, wrap, deadline_only, winner_only
+    ):
+        n = 1 << k
+        net = ShuffleExchangeNetwork(
+            n, wrap=wrap, deadline_only=deadline_only, schedule=schedule
+        )
+        decisions = [0] * (n // 2)
+        rule_counts = [Counter() for _ in range(n // 2)]
+        # Two runs: the memoized schedule is reused and counters add up.
+        for _ in range(2):
+            fields = data.draw(st.lists(_bundle, min_size=n, max_size=n))
+            bundles = [
+                HardwareAttributes(
+                    sid=sid,
+                    deadline=d,
+                    loss_numerator=x,
+                    loss_denominator=y,
+                    arrival=a,
+                    valid=v,
+                )
+                for sid, (d, x, y, a, v) in enumerate(fields)
+            ]
+            result = net.run(bundles, winner_only=winner_only)
+            order, passes, oracle_blocks = _oracle(
+                bundles,
+                wrap=wrap,
+                deadline_only=deadline_only,
+                schedule=schedule,
+                winner_only=winner_only,
+            )
+            assert len(result.order) == len(order)
+            assert all(x is y for x, y in zip(result.order, order))
+            assert result.passes == passes
+            assert result.comparisons == sum(b.decisions for b in oracle_blocks)
+            for i, expected in enumerate(oracle_blocks):
+                decisions[i] += expected.decisions
+                rule_counts[i].update(expected.rule_counts)
+                assert net.blocks[i].decisions == decisions[i]
+                assert net.blocks[i].rule_counts == rule_counts[i]

@@ -103,3 +103,65 @@ class TestRunControl:
         sim.schedule(2.0, lambda: None)
         e1.cancel()
         assert sim.peek_time() == 2.0
+
+
+class TestHeapRegressions:
+    def test_cancelled_event_skipped_by_step_and_peek(self):
+        sim = Simulator()
+        log = []
+        first = sim.schedule(1.0, log.append, "cancelled")
+        sim.schedule(2.0, log.append, "live")
+        first.cancel()
+        assert sim.peek_time() == 2.0
+        assert sim.step()
+        assert log == ["live"]
+        assert sim.now == 2.0
+        assert not sim.step()
+        assert sim.peek_time() is None
+
+    def test_step_skips_cancelled_head(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, log.append, "a").cancel()
+        sim.schedule(1.0, log.append, "b")
+        assert sim.step()
+        assert log == ["b"]
+        assert sim.events_run == 1
+
+    def test_pending_counts_only_live_events(self):
+        sim = Simulator()
+        events = [sim.schedule(float(i), lambda: None) for i in range(5)]
+        events[1].cancel()
+        events[3].cancel()
+        assert sim.pending == 3
+        sim.run(until=2.5)
+        assert sim.pending == 1
+        assert sim.events_run == 2
+
+    def test_fifo_among_equal_float_times(self):
+        sim = Simulator()
+        log = []
+        t = 0.1 + 0.2  # not exactly representable: still equal keys
+        for i in range(50):
+            sim.schedule_at(t, log.append, i)
+        sim.schedule_at(0.30000000000000004, log.append, "same-float")
+        sim.run()
+        assert log == list(range(50)) + ["same-float"]
+
+    def test_equal_times_never_compare_callbacks(self):
+        class Unorderable:
+            def __call__(self):
+                log.append(self)
+
+            def __lt__(self, other):
+                raise AssertionError("callbacks must not be compared")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        sim = Simulator()
+        log = []
+        callbacks = [Unorderable() for _ in range(20)]
+        for cb in callbacks:
+            sim.schedule(1.0, cb)
+        sim.run()
+        assert log == callbacks
