@@ -4,11 +4,11 @@ The ``numba`` backend (:mod:`repro.core.jit`) fuses the tensor
 engine's per-cycle phases into one whole-run driver that executes K
 decision cycles without returning to Python.  This benchmark times the
 *identical* periodic EDF campaign on the NumPy array path and on the
-kernel path across the S x N shape grid, records the speedup ratios,
-and asserts the crossover claim the JIT work was sized against: at
-``S=1, N=8`` — where per-cycle array-dispatch overhead dominates and
-the array path degenerates to dozens of tiny NumPy calls per cycle —
-the fused driver must win by at least 3x.  First-call compilation
+kernel path across the S x N shape grid, records both rates and the
+speedup ratios, and asserts the crossover claim the JIT work was sized
+against: at ``S=1, N=8`` — where per-cycle array-dispatch overhead
+dominates and the array path degenerates to dozens of tiny NumPy calls
+per cycle — the fused driver must win by at least 3x.  First-call compilation
 (``cache=True`` warmup) is excluded by running a throwaway campaign
 before the timed one.
 
@@ -114,6 +114,13 @@ def test_jit_speedup_sweep(report):
             )
             speedup = jit_rate / numpy_rate
             speedups[(s, n)] = speedup
+            records.append(
+                bench_record(
+                    f"numpy_ops.s{s}n{n}",
+                    numpy_rate, "scenario-cycles/s",
+                    scenarios=s, slots=n, direction="higher",
+                )
+            )
             records.append(
                 bench_record(
                     f"jit_ops.{_MODE}.s{s}n{n}",

@@ -266,7 +266,7 @@ def run_aggregation_bucket(
     whose events end early idle in lockstep while the longest row
     finishes; the summaries are byte-identical to per-scenario
     :func:`run_aggregation` runs regardless.  ``engine_backend``
-    selects the campaign engine's array namespace (``"numba"`` routes
+    selects the campaign engine's backend (``"numba"`` routes
     the fused compiled kernels); observables never depend on it.
     """
     if not scenarios:

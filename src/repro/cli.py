@@ -653,6 +653,8 @@ _SWEEPABLE = {"figure8", "figure9", "figure10", "isolation"}
 
 def _trace_main(argv: list[str]) -> int:
     """``repro trace``: span-traced campaign + rollup/critical-path report."""
+    from repro.core.backend import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Run a span-traced differential validation campaign "
@@ -673,9 +675,9 @@ def _trace_main(argv: list[str]) -> int:
         help="fast engine under validation (default tensor)",
     )
     parser.add_argument(
-        "--engine-backend", default="numpy",
-        help="array namespace for the tensor engine "
-        "(numpy/torch/cupy/array_api_strict; see repro.core.backend)",
+        "--engine-backend", choices=BACKENDS, default="numpy",
+        help="tensor engine backend: numpy (array path) or numba "
+        "(fused compiled kernels; see repro.core.backend)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,

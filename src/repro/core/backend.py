@@ -1,61 +1,44 @@
-"""Array-API-neutral dispatch layer for the tensorized engines.
+"""NumPy dispatch layer for the tensorized engines.
 
-The ``(S, N)`` campaign engine (:mod:`repro.core.tensor_engine`) was
-originally welded to NumPy.  This module is the thin ``xp``-style seam
-that makes its batched kernels portable: an :class:`ArrayApiBackend`
-wraps any `array API standard`_ namespace and exposes exactly the
-primitives the engine needs — creation, ``where``/``minimum``, gathers
-(``take`` / ``take_along_axis``), a **stable** ascending ``argsort``,
-reductions and host transfers — with per-library subclasses smoothing
-over the places real libraries deviate from the standard (``dim`` vs
-``axis`` keywords in torch, CuPy's unstable device sort, NumPy < 2.0
-lacking ``np.astype``).
+The ``(S, N)`` campaign engine (:mod:`repro.core.tensor_engine`) calls
+its batched kernels through the per-op forwarders of a
+:class:`NumpyBackend` — creation, ``where``/``minimum``, gathers
+(``take`` / ``take_along_axis``), a **stable** ascending ``argsort``
+and reductions.  ``engine_backend`` picks one of two backends
+(:data:`BACKENDS`): ``"numpy"``, the plain array path, or ``"numba"``,
+which keeps the same NumPy state and routes the engine's fused entry
+points through the compiled kernels of :mod:`repro.core.jit`.
 
-Backends resolve *lazily* by name (:func:`resolve_backend`), so the
-optional heavy dependencies stay optional: importing this module — or
-running the default NumPy path — never imports torch/CuPy/
-array-api-strict.  A missing library fails with a message naming the
-``backends`` pip extra; :func:`available_backends` reports the same
-availability map without raising (the benchmark/CI matrix uses it to
-skip-with-reason).
+Backends resolve *lazily* by name (:func:`resolve_backend`), so
+importing this module — or running the default NumPy path — never
+imports numba.
 
-Determinism contract: every backend must produce **byte-identical**
-engine observables for the same workload.  The two requirements that
-carry that guarantee are (a) all engine state is integer/bool typed —
-there is no float anywhere in the kernels, so no accumulation-order
-sensitivity — and (b) :meth:`ArrayApiBackend.argsort_stable` is a
+Determinism contract: both backends produce **byte-identical** engine
+observables for the same workload.  The two requirements that carry
+that guarantee are (a) all engine state is integer/bool typed — there
+is no float anywhere in the kernels, so no accumulation-order
+sensitivity — and (b) :meth:`NumpyBackend.argsort_stable` is a
 *stable* ascending sort, which together with the engine's
-sid-uniqueness makes every rank permutation total.  The hypothesis
-suite (``tests/test_backend_equivalence.py``) and the CI backend matrix
-enforce the contract.
-
-.. _array API standard: https://data-apis.org/array-api/latest/
+sid-uniqueness makes every rank permutation total.
+``tests/test_jit_equivalence.py`` enforces the contract.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any
 
 import numpy as np
 
 __all__ = [
-    "ArrayApiBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "TorchBackend",
-    "CupyBackend",
     "BACKENDS",
     "resolve_backend",
-    "available_backends",
     "BackendUnavailable",
 ]
 
-#: Installable backend names, resolution order of the benchmark sweep.
-BACKENDS = ("numpy", "numba", "torch", "cupy", "array_api_strict")
-
-#: pip extra that pins the optional backend libraries.
-_EXTRA_HINT = 'pip install -e ".[backends]"'
+#: Accepted ``engine_backend`` names.
+BACKENDS = ("numpy", "numba")
 
 #: pip extra that pins the numba JIT dependency.
 _JIT_HINT = 'pip install -e ".[jit]"'
@@ -65,43 +48,27 @@ class BackendUnavailable(ImportError):
     """An engine backend's library is not importable on this host."""
 
 
-class ArrayApiBackend:
-    """Generic backend over any array API standard namespace.
+class NumpyBackend:
+    """The default backend: NumPy, compatible back to the 1.x series.
 
-    The base class uses only operations the 2023.12 standard
-    guarantees (plus ``take_along_axis``, emulated below when the
-    namespace predates its 2024.12 standardization), so it works
-    unmodified for ``array-api-strict`` and any other conforming
-    library.  Library-specific subclasses override individual methods
-    for speed or API deviations — never semantics.
-
-    Engine code additionally relies on the wrapped arrays supporting
-    scalar ``arr[s, i]`` reads/writes and ``int(arr[s, i])``
-    conversion (standard ``__getitem__``/``__setitem__``/``__int__``
-    behavior) for the queue-backed scalar paths.
+    Engine code additionally relies on scalar ``arr[s, i]``
+    reads/writes and ``int(arr[s, i])`` conversion for the
+    queue-backed scalar paths.
     """
 
-    def __init__(self, namespace: Any, *, name: str = "array_api") -> None:
-        self.xp = namespace
-        self.name = name
-        self.int64 = namespace.int64
-        self.bool_ = getattr(namespace, "bool_", None) or namespace.bool
+    def __init__(self) -> None:
+        self.xp = np
+        self.name = "numpy"
+        self.int64 = np.int64
+        self.bool_ = np.bool_
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
-    # -- creation / transfer -------------------------------------------
+    # -- creation ------------------------------------------------------
 
     def asarray(self, obj, dtype=None):
         return self.xp.asarray(obj, dtype=dtype)
-
-    def from_numpy(self, arr):
-        """Adopt a host ndarray (dtype preserved)."""
-        return self.xp.asarray(arr)
-
-    def to_numpy(self, arr) -> np.ndarray:
-        """Materialize on the host as an ndarray (zero-copy if possible)."""
-        return np.asarray(arr)
 
     def zeros(self, shape, dtype):
         return self.xp.zeros(shape, dtype=dtype)
@@ -115,11 +82,9 @@ class ArrayApiBackend:
     def arange(self, n: int):
         return self.xp.arange(n, dtype=self.int64)
 
-    def copy(self, arr):
-        return self.xp.asarray(arr, copy=True)
-
     def astype(self, arr, dtype):
-        return self.xp.astype(arr, dtype)
+        # np.astype only exists in NumPy >= 2.0.
+        return arr.astype(dtype)
 
     def broadcast_to(self, arr, shape):
         return self.xp.broadcast_to(arr, shape)
@@ -129,23 +94,11 @@ class ArrayApiBackend:
 
     # -- elementwise select --------------------------------------------
 
-    def _wrap_scalar(self, value, like):
-        if hasattr(value, "dtype"):
-            return value
-        return self.xp.asarray(value, dtype=like.dtype)
-
     def where(self, cond, a, b):
-        """``where`` tolerating Python scalars for either branch."""
-        if not hasattr(a, "dtype") and hasattr(b, "dtype"):
-            a = self._wrap_scalar(a, b)
-        elif not hasattr(b, "dtype") and hasattr(a, "dtype"):
-            b = self._wrap_scalar(b, a)
-        return self.xp.where(cond, a, b)
+        return np.where(cond, a, b)
 
     def minimum(self, a, b):
-        if not hasattr(b, "dtype"):
-            b = self._wrap_scalar(b, a)
-        return self.xp.minimum(a, b)
+        return np.minimum(a, b)
 
     # -- gathers -------------------------------------------------------
 
@@ -155,18 +108,7 @@ class ArrayApiBackend:
 
     def take_along_last(self, arr, indices):
         """``take_along_axis(arr, indices, axis=-1)`` for 2-D operands."""
-        xp = self.xp
-        if hasattr(xp, "take_along_axis"):
-            return xp.take_along_axis(arr, indices, axis=-1)
-        # Pre-2024.12 namespaces: emulate with a flat row-offset gather.
-        s, n = arr.shape
-        offsets = xp.reshape(xp.arange(s, dtype=indices.dtype) * n, (s, 1))
-        flat = xp.reshape(xp.take(
-            xp.reshape(arr, (-1,)),
-            xp.reshape(indices + offsets, (-1,)),
-            axis=0,
-        ), indices.shape)
-        return flat
+        return np.take_along_axis(arr, indices, axis=-1)
 
     def interleave_pairs(self, lo, hi):
         """``(S, n/2) x 2 -> (S, n)``: lo0, hi0, lo1, hi1, ...
@@ -189,7 +131,8 @@ class ArrayApiBackend:
         (see :func:`repro.core.tensor_engine.table2_rank_order`), so an
         unstable sort would silently break the byte-identity contract.
         """
-        return self.xp.argsort(arr, axis=-1, stable=True)
+        # kind="stable" predates the 2.0 `stable=` keyword.
+        return np.argsort(arr, axis=-1, kind="stable")
 
     # -- reductions / predicates ---------------------------------------
 
@@ -209,40 +152,6 @@ class ArrayApiBackend:
     def min_int(self, arr) -> int:
         """Host integer minimum of a non-empty integer array."""
         return int(self.xp.min(arr))
-
-
-class NumpyBackend(ArrayApiBackend):
-    """The default backend: NumPy, compatible back to the 1.x series."""
-
-    def __init__(self) -> None:
-        super().__init__(np, name="numpy")
-        self.bool_ = np.bool_
-
-    def from_numpy(self, arr):
-        return arr
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return arr
-
-    def copy(self, arr):
-        return arr.copy()
-
-    def astype(self, arr, dtype):
-        # np.astype only exists in NumPy >= 2.0.
-        return arr.astype(dtype)
-
-    def where(self, cond, a, b):
-        return np.where(cond, a, b)
-
-    def minimum(self, a, b):
-        return np.minimum(a, b)
-
-    def take_along_last(self, arr, indices):
-        return np.take_along_axis(arr, indices, axis=-1)
-
-    def argsort_stable(self, arr):
-        # kind="stable" predates the 2.0 `stable=` keyword.
-        return np.argsort(arr, axis=-1, kind="stable")
 
 
 class NumbaBackend(NumpyBackend):
@@ -280,114 +189,11 @@ class NumbaBackend(NumpyBackend):
         self.jit_compiled = jit.NUMBA_AVAILABLE
 
 
-class TorchBackend(ArrayApiBackend):  # pragma: no cover - needs torch
-    """PyTorch backend (CPU by default; pass ``device="cuda"`` for GPU).
-
-    torch spells reduction/sort axes ``dim`` and lacks ``astype`` /
-    ``take(axis=)``, so every deviating method is overridden; semantics
-    are identical to the base class.
-    """
-
-    def __init__(self, device: str = "cpu") -> None:
-        import torch
-
-        super().__init__(torch, name="torch")
-        self.int64 = torch.int64
-        self.bool_ = torch.bool
-        self._device = torch.device(device)
-
-    def asarray(self, obj, dtype=None):
-        return self.xp.as_tensor(obj, dtype=dtype, device=self._device)
-
-    def from_numpy(self, arr):
-        return self.xp.as_tensor(arr, device=self._device)
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return arr.detach().cpu().numpy()
-
-    def zeros(self, shape, dtype):
-        return self.xp.zeros(shape, dtype=dtype, device=self._device)
-
-    def ones(self, shape, dtype):
-        return self.xp.ones(shape, dtype=dtype, device=self._device)
-
-    def full(self, shape, fill, dtype):
-        return self.xp.full(shape, fill, dtype=dtype, device=self._device)
-
-    def arange(self, n: int):
-        return self.xp.arange(n, dtype=self.int64, device=self._device)
-
-    def copy(self, arr):
-        return arr.clone()
-
-    def astype(self, arr, dtype):
-        return arr.to(dtype)
-
-    def reshape(self, arr, shape):
-        return self.xp.reshape(arr, shape)
-
-    def take(self, arr, indices, *, axis: int):
-        return self.xp.index_select(arr, axis, indices)
-
-    def take_along_last(self, arr, indices):
-        return self.xp.take_along_dim(arr, indices, dim=-1)
-
-    def interleave_pairs(self, lo, hi):
-        s, half = lo.shape
-        return self.xp.reshape(self.xp.stack((lo, hi), dim=-1), (s, half * 2))
-
-    def argsort_stable(self, arr):
-        return self.xp.argsort(arr, dim=-1, stable=True)
-
-    def any_along_last(self, arr):
-        return self.xp.any(arr, dim=-1)
-
-    def argmax_last(self, arr):
-        return self.xp.argmax(arr, dim=-1)
-
-    def flip_last(self, arr):
-        return self.xp.flip(arr, dims=(-1,))
-
-
-class CupyBackend(ArrayApiBackend):  # pragma: no cover - needs CUDA
-    """CuPy backend (CUDA GPU); NumPy-compatible API, device arrays."""
-
-    def __init__(self) -> None:
-        import cupy
-
-        super().__init__(cupy, name="cupy")
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return self.xp.asnumpy(arr)
-
-    def copy(self, arr):
-        return arr.copy()
-
-    def astype(self, arr, dtype):
-        return arr.astype(dtype)
-
-    def take_along_last(self, arr, indices):
-        return self.xp.take_along_axis(arr, indices, axis=-1)
-
-    def argsort_stable(self, arr):
-        # CuPy's device sort is not guaranteed stable; widen the key
-        # with the position index so ties break by index.  Safe for
-        # every engine key: values are bounded by the 8/16-bit
-        # attribute fields plus cycle counts, far below 2**63 / n.
-        n = arr.shape[-1]
-        iota = self.xp.arange(n, dtype=arr.dtype)
-        return self.xp.argsort(arr * n + iota, axis=-1)
-
-
-def _make_numpy() -> ArrayApiBackend:
-    return NumpyBackend()
-
-
 #: One warning per process even if the backend cache is cleared.
 _numba_fallback_warned = False
 
 
-def _make_numba() -> ArrayApiBackend:
+def _make_numba() -> NumpyBackend:
     """Compiled backend when numba is importable, else NumPy + warning.
 
     The degrade-don't-fail contract: ``engine_backend="numba"`` must
@@ -413,57 +219,24 @@ def _make_numba() -> ArrayApiBackend:
     return resolve_backend("numpy")
 
 
-def _make_torch() -> ArrayApiBackend:
-    try:
-        return TorchBackend()
-    except ImportError as exc:
-        raise BackendUnavailable(
-            f"engine backend 'torch' needs PyTorch ({_EXTRA_HINT}): {exc}"
-        ) from exc
-
-
-def _make_cupy() -> ArrayApiBackend:
-    try:
-        return CupyBackend()
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "engine backend 'cupy' needs CuPy with a CUDA runtime "
-            f"(install cupy-cuda12x or similar): {exc}"
-        ) from exc
-
-
-def _make_array_api_strict() -> ArrayApiBackend:
-    try:
-        import array_api_strict
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "engine backend 'array_api_strict' needs array-api-strict "
-            f"({_EXTRA_HINT}): {exc}"
-        ) from exc
-    return ArrayApiBackend(array_api_strict, name="array_api_strict")
-
-
 _FACTORIES = {
-    "numpy": _make_numpy,
+    "numpy": NumpyBackend,
     "numba": _make_numba,
-    "torch": _make_torch,
-    "cupy": _make_cupy,
-    "array_api_strict": _make_array_api_strict,
 }
 
-_CACHE: dict[str, ArrayApiBackend] = {}
+_CACHE: dict[str, NumpyBackend] = {}
 
 
-def resolve_backend(backend: str | ArrayApiBackend = "numpy") -> ArrayApiBackend:
+def resolve_backend(backend: str | NumpyBackend = "numpy") -> NumpyBackend:
     """Resolve a backend by name (lazily, cached) or pass one through.
 
-    Accepts an already-constructed :class:`ArrayApiBackend` unchanged,
-    so tests and power users can inject custom namespaces (e.g. the
-    generic base class wrapped around NumPy itself).  Unknown names
-    raise :class:`ValueError`; known names whose library is missing
-    raise :class:`BackendUnavailable` with the install hint.
+    Accepts an already-constructed :class:`NumpyBackend` (or
+    :class:`NumbaBackend`) unchanged, so tests can inject an
+    interpreted-kernel ``NumbaBackend(force_interpreted=True)``.
+    Any other name raises :class:`ValueError` listing
+    :data:`BACKENDS`.
     """
-    if isinstance(backend, ArrayApiBackend):
+    if isinstance(backend, NumpyBackend):
         return backend
     if backend not in _FACTORIES:
         raise ValueError(
@@ -474,31 +247,3 @@ def resolve_backend(backend: str | ArrayApiBackend = "numpy") -> ArrayApiBackend
     if cached is None:
         cached = _CACHE[backend] = _FACTORIES[backend]()
     return cached
-
-
-def available_backends() -> dict[str, str | None]:
-    """``name -> None`` (usable) or a skip reason, without raising.
-
-    The benchmark sweep and the CI matrix consult this to degrade to
-    skip-with-reason on hosts missing an optional library or GPU.
-    """
-    report: dict[str, str | None] = {}
-    for name in BACKENDS:
-        try:
-            resolved = resolve_backend(name)
-        except BackendUnavailable as exc:
-            report[name] = str(exc)
-        except Exception as exc:  # pragma: no cover - env-specific
-            report[name] = f"{type(exc).__name__}: {exc}"
-        else:
-            # A degrading resolve (numba without the jit extra) is not
-            # "usable as itself" — report the fallback so sweeps and
-            # the CI matrix skip-with-reason instead of re-measuring
-            # the NumPy path under another label.
-            report[name] = (
-                None
-                if resolved.name == name
-                else f"'{name}' degrades to {resolved.name!r} on this "
-                f"host (numba not installed; {_JIT_HINT})"
-            )
-    return report

@@ -93,7 +93,7 @@ _Y_MAX = LOSS_DEN_FIELD.mask
 #: floored keys compare identically to the exact rationals (and equal
 #: rationals floor to equal keys).  This replaces the float ``x / y``
 #: lexsort key with an integer one that sorts identically on every
-#: backend.
+#: engine.
 _WC_SHIFT = 16
 
 
@@ -207,11 +207,10 @@ def make_scheduler(
     surface — including the ``observer`` telemetry hook — and are
     asserted behaviorally identical by :mod:`repro.core.differential`.
 
-    ``engine_backend`` selects the array namespace for the tensor
-    engine (see :mod:`repro.core.backend`) — ``"numba"`` routes whole
-    runs through the fused compiled kernels of :mod:`repro.core.jit`;
-    the reference and batch engines are NumPy-only and reject any
-    other value.
+    ``engine_backend`` selects the tensor engine's backend (see
+    :mod:`repro.core.backend`) — ``"numba"`` routes whole runs through
+    the fused compiled kernels of :mod:`repro.core.jit`; the reference
+    and batch engines are NumPy-only and reject any other value.
     """
     if engine != "tensor" and engine_backend != "numpy":
         raise ValueError(

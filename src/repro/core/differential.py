@@ -252,7 +252,7 @@ def build_engine(
 ):
     """Instantiate one engine (``reference``/``batch``/``tensor``).
 
-    ``engine_backend`` selects the tensor engine's array namespace
+    ``engine_backend`` selects the tensor engine's backend
     (:mod:`repro.core.backend`); the reference and batch engines are
     NumPy-only and reject any other value.
     """
@@ -405,9 +405,9 @@ def cross_validate(
 
     ``None`` means the engines agreed on every decision cycle and on
     the final performance counters.  ``engine_backend`` selects the
-    fast engine's array namespace (tensor engine only); the reference
-    run always executes on NumPy, so a passing campaign proves the
-    alternate backend byte-identical to the oracle.
+    fast engine's backend (tensor engine only); the reference run
+    always executes on NumPy, so a passing campaign proves the
+    ``numba`` kernels byte-identical to the oracle.
     """
     ref = run_engine(scenario, "reference")
     fast = run_engine(scenario, engine, engine_backend=engine_backend)
@@ -748,12 +748,12 @@ def _scenario_cache_payload(
     """Canonical cache-key payload: the *resolved* scenario config.
 
     Keyed on the full derived scenario (not just the seed) plus the
-    engine pair, comparison mode and array backend, so a generator
+    engine pair, comparison mode and engine backend, so a generator
     change that alters what a seed means invalidates its cache entry —
     and tensor-path results never collide with cached sequential-path
-    entries, nor one backend's passes with another's.  That includes
-    the ``numba`` backend: even though its fused kernels are proven
-    byte-identical to the NumPy path, a cached pass records *which*
+    entries, nor one backend's passes with another's.  Even though the
+    ``numba`` backend's fused kernels are proven byte-identical to the
+    NumPy path, a cached pass records *which*
     code path validated the scenario, so compiled-kernel runs key
     separately rather than satisfying (or being satisfied by)
     NumPy-path lookups.  The package-version/schema token is folded in
@@ -1034,12 +1034,11 @@ def campaign(
     buckets across workers.  Both produce byte-identical merged
     summaries when every seed passes.
 
-    ``engine_backend`` selects the tensor engine's array namespace
-    (:mod:`repro.core.backend`: ``numpy``/``torch``/``cupy``/
-    ``array_api_strict``); every backend must reproduce the NumPy
-    reference byte-for-byte, so a passing campaign is the portability
-    proof for that backend.  Non-tensor engines reject any value other
-    than ``"numpy"``.
+    ``engine_backend`` selects the tensor engine's backend
+    (:mod:`repro.core.backend`: ``numpy`` or ``numba``); the ``numba``
+    kernels must reproduce the NumPy reference byte-for-byte, so a
+    passing campaign is their equivalence proof.  Non-tensor engines
+    reject any value other than ``"numpy"``.
 
     ``workers`` shards the workload across processes
     (:func:`repro.runner.run_sharded`; ``0``/``None`` = all cores) —
@@ -1066,6 +1065,12 @@ def campaign(
         raise ValueError(f"unknown campaign mode {mode!r}")
     if engine not in ("batch", "tensor"):
         raise ValueError(f"unknown campaign engine {engine!r}")
+    if engine_backend not in BACKENDS:
+        # Fail here, not once per bucket inside the workers.
+        raise ValueError(
+            f"unknown engine backend {engine_backend!r}; expected one of "
+            f"{', '.join(BACKENDS)}"
+        )
     if engine != "tensor" and engine_backend != "numpy":
         raise ValueError(
             f"engine_backend={engine_backend!r} requires engine='tensor'"
@@ -1489,9 +1494,9 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
         "--engine-backend",
         choices=BACKENDS,
         default="numpy",
-        help="array namespace for the tensor engine "
-        "(repro.core.backend); requires --engine tensor for any "
-        "value other than numpy",
+        help="tensor engine backend: numpy (array path) or numba "
+        "(fused compiled kernels; see repro.core.backend); requires "
+        "--engine tensor for any value other than numpy",
     )
     parser.add_argument(
         "--workers",

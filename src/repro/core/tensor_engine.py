@@ -34,11 +34,11 @@ cycles where a decision can actually differ from "nothing happened".
 backed by a one-row campaign, cross-validated cycle-by-cycle by
 :mod:`repro.core.differential` like every other engine.
 
-Every batched kernel dispatches through an
-:class:`~repro.core.backend.ArrayApiBackend`
-(``engine_backend="numpy"|"torch"|"cupy"|"array_api_strict"``), so the
-``(S, N)`` state can live on whichever array library/device the caller
-selects; all observables are byte-identical across backends (the
+Every batched kernel dispatches through a
+:class:`~repro.core.backend.NumpyBackend`
+(``engine_backend="numpy"|"numba"``); the ``numba`` backend keeps the
+same NumPy state and routes the fused entry points through
+:mod:`repro.core.jit`, with byte-identical observables (the
 determinism contract in :mod:`repro.core.backend`).  The Table 2 rank
 cascade runs as :func:`table2_rank_order` — a packed-integer-key stable
 composite sort, permutation-identical to the historical
@@ -48,14 +48,13 @@ makes the order total.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import deque
 
 import numpy as np
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.backend import ArrayApiBackend, NumpyBackend, resolve_backend
+from repro.core.backend import NumpyBackend, resolve_backend
 from repro.core.batch_engine import (
     _ARR_HALF,
     _ARR_MASK,
@@ -90,14 +89,8 @@ _EDF = _MODE_CODE[SchedulingMode.EDF]
 _FAR_FUTURE = 2**62
 
 
-@functools.cache
-def _window_table(bk: ArrayApiBackend):
-    """:func:`~repro.core.batch_engine.window_key_table` on ``bk``."""
-    return bk.from_numpy(window_key_table())
-
-
 def table2_rank_order(
-    bk: ArrayApiBackend,
+    bk: NumpyBackend,
     *,
     invalid,
     dl,
@@ -106,18 +99,17 @@ def table2_rank_order(
     y=None,
     deadline_only: bool = False,
 ):
-    """Backend-portable Table 2 rank cascade over the last axis.
+    """Table 2 rank cascade over the last axis.
 
     Produces the exact permutation of::
 
         np.lexsort((sid, arr, num_key, den_key, wc, dl, invalid))
 
     (or ``np.lexsort((sid, arr, dl, invalid))`` when ``deadline_only``)
-    without ``lexsort``, which has no array API equivalent.  The
-    cascade runs as stable argsort passes from least- to
-    most-significant key; the three bounded window-constraint keys
-    (ratio, denominator, numerator — 8-bit fields) pack into one
-    integer word, read from
+    without ``lexsort``.  The cascade runs as stable argsort passes
+    from least- to most-significant key; the three bounded
+    window-constraint keys (ratio, denominator, numerator — 8-bit
+    fields) pack into one integer word, read from
     :func:`~repro.core.batch_engine.window_key_table`, so the full
     cascade costs at most three passes on top of the implicit
     slot-order (``sid``) base case.  Because ``sid`` is
@@ -126,7 +118,7 @@ def table2_rank_order(
     NumPy path holds by construction and is asserted by the hypothesis
     equivalence suite.
 
-    All operands are ``(S, N)`` backend arrays: ``invalid`` bool (sorts
+    All operands are ``(S, N)`` arrays: ``invalid`` bool (sorts
     loaded-and-pending slots first), ``dl``/``arr`` rebased int64
     deadline/arrival keys, ``x``/``y`` the live window-constraint
     counters (ignored when ``deadline_only``).
@@ -144,7 +136,7 @@ def table2_rank_order(
     # and every later pass is stable, so ties keep ascending sid.
     order = flat(bk.argsort_stable(arr) + row0)
     keys = [] if deadline_only else [
-        bk.take(_window_table(bk), flat((x << 8) | y), axis=0)
+        bk.take(window_key_table(), flat((x << 8) | y), axis=0)
     ]
     keys += [flat(dl), flat(bk.astype(invalid, bk.int64))]
     for key in keys:
@@ -234,12 +226,11 @@ class CampaignEngine:
         is a single ``is not None`` check per phase boundary, matching
         the observer-hook contract.
     engine_backend:
-        Array library the ``(S, N)`` state and batched kernels run on —
-        a :mod:`repro.core.backend` name (``"numpy"`` default,
-        ``"torch"``, ``"cupy"``, ``"array_api_strict"``) or a
-        pre-built :class:`~repro.core.backend.ArrayApiBackend`.
-        Resolved lazily, so optional libraries stay optional; every
-        backend produces byte-identical observables.
+        ``"numpy"`` (default, the batched array path) or ``"numba"``
+        (the fused :mod:`repro.core.jit` kernels), or a pre-built
+        :class:`~repro.core.backend.NumpyBackend` /
+        :class:`~repro.core.backend.NumbaBackend`.  Both produce
+        byte-identical observables.
     """
 
     def __init__(
@@ -251,7 +242,7 @@ class CampaignEngine:
         observers=None,
         trace_timeline: bool = False,
         profile_phases: bool = False,
-        engine_backend: str | ArrayApiBackend = "numpy",
+        engine_backend: str | NumpyBackend = "numpy",
     ) -> None:
         if stream_lists is None:
             if n_scenarios is None:
@@ -331,12 +322,12 @@ class CampaignEngine:
         ]
 
         # -- network geometry (memoized, shared across engines) --
-        self._shuffle = bk.from_numpy(build_shuffle_permutation(n))
+        self._shuffle = build_shuffle_permutation(n)
         self._log2n = n.bit_length() - 1
         self._bitonic_passes = build_bitonic_passes(n)
         # Per-position replay vectors: the pass geometry re-expressed as
         # full-width gathers (no strided/fancy writeback) so one
-        # compare-exchange pass is pure take/where on any backend.
+        # compare-exchange pass is pure take/where.
         # ``partner_full[j]`` is j's compare partner; ``gt_full[j]`` is
         # True where j takes the partner's value on ``rank[j] >
         # rank[partner]`` (ascending lane member), False where the
@@ -350,9 +341,7 @@ class CampaignEngine:
             gt_full = np.empty(n, dtype=bool)
             gt_full[idx] = asc
             gt_full[partner] = ~asc
-            pass_vectors.append(
-                (bk.from_numpy(partner_full), bk.from_numpy(gt_full))
-            )
+            pass_vectors.append((partner_full, gt_full))
         self._bitonic_pass_vectors = tuple(pass_vectors)
 
         # -- fused compiled kernels (engine_backend="numba") --
@@ -373,26 +362,18 @@ class CampaignEngine:
                 gt_all[p] = gt_full
             self._jit_partner = partner_all
             self._jit_gt = gt_all
-            self._jit_shuffle = np.ascontiguousarray(
-                np.asarray(self._shuffle, dtype=np.int64)
-            )
+            self._jit_shuffle = self._shuffle
 
         # -- per-cycle scratch, reused across decision cycles --
         # decision_cycle_all used to rebuild these outcome accumulators
         # and boolean masks every cycle; hot campaigns run millions of
         # cycles, so they are hoisted here and cleared/overwritten per
-        # call instead (NumPy-family backends only for the array
-        # scratch — array-API namespaces lack ufunc ``out=``).
+        # call instead.
         self._cycle_dropped: list[list] = [[] for _ in range(s_count)]
         self._cycle_misses: list[list[int]] = [[] for _ in range(s_count)]
         self._counting_cache: dict[tuple, object] = {}
-        self._np_state = isinstance(bk, NumpyBackend)
-        self._scratch_valid = (
-            np.empty(shape, dtype=bool) if self._np_state else None
-        )
-        self._scratch_late = (
-            np.empty(shape, dtype=bool) if self._np_state else None
-        )
+        self._scratch_valid = np.empty(shape, dtype=bool)
+        self._scratch_late = np.empty(shape, dtype=bool)
 
         for s, streams in enumerate(stream_lists):
             if streams:
@@ -558,7 +539,7 @@ class CampaignEngine:
         One :func:`table2_rank_order` composite stable sort over the
         Table 2 key cascade ranks *every scenario in the campaign* in a
         single call — the keys are ``(S, N)`` and the sort runs along
-        the last axis, on whichever backend holds the state.
+        the last axis.
         """
         bk = self._b
         if self._jit is not None:
@@ -593,7 +574,7 @@ class CampaignEngine:
         arrays; each pass's per-position partner/direction geometry
         broadcasts across the scenario axis, so S networks advance per
         array op.  Expressed entirely as gathers + ``where`` (no
-        scatter writeback), so the replay is backend-portable.
+        scatter writeback).
         """
         bk = self._b
         s_count, n = order.shape
@@ -641,8 +622,7 @@ class CampaignEngine:
     def _register_misses(self, late) -> None:
         """Vectorized miss path over all late heads in all scenarios.
 
-        Full-array masked rebinds (no boolean-scatter writes), so the
-        kernel runs unchanged on every backend.
+        Full-array masked rebinds (no boolean-scatter writes).
         """
         bk = self._b
         if self._jit is not None:
@@ -771,31 +751,24 @@ class CampaignEngine:
 
         # SCHEDULE: one rank + one network replay for all scenarios.
         bk = self._b
-        if self._scratch_valid is not None:
-            valid = np.logical_and(
-                self._has_head, self._loaded, out=self._scratch_valid
-            )
-        else:
-            valid = self._has_head & self._loaded
+        valid = np.logical_and(
+            self._has_head, self._loaded, out=self._scratch_valid
+        )
         rank_order = self._rank(
             now, valid, self._attr_deadline, self._attr_arrival,
             self._x, self._y,
         )
         if self.config.winner_only:
-            winners = bk.to_numpy(rank_order[:, 0])
-            valid_np = bk.to_numpy(valid)
+            winners = rank_order[:, 0]
             orders = [
-                [int(w)] if valid_np[s, w] else []
+                [int(w)] if valid[s, w] else []
                 for s, w in enumerate(winners)
             ]
         else:
             emitted = self._emit_positions(rank_order)
-            emitted_np = np.asarray(bk.to_numpy(emitted))
-            emitted_valid_np = np.asarray(
-                bk.to_numpy(bk.take_along_last(valid, emitted))
-            )
+            emitted_valid = bk.take_along_last(valid, emitted)
             orders = [
-                emitted_np[s][emitted_valid_np[s]].tolist()
+                emitted[s][emitted_valid[s]].tolist()
                 for s in range(s_count)
             ]
         passes = self._schedule_passes
@@ -808,19 +781,13 @@ class CampaignEngine:
             acc[1] += _t1 - _t0
 
         # Miss registration, batched over the scenarios that count them.
-        if self._scratch_late is not None:
-            scratch = self._scratch_late
-            if self._wrap:
-                diff = (self._head_deadline - now) & _DL_MASK
-                np.greater_equal(diff, _DL_HALF, out=scratch)
-            else:
-                np.less(self._head_deadline, now, out=scratch)
-            late = np.logical_and(scratch, valid, out=scratch)
-        elif self._wrap:
+        scratch = self._scratch_late
+        if self._wrap:
             diff = (self._head_deadline - now) & _DL_MASK
-            late = valid & (diff >= _DL_HALF)
+            np.greater_equal(diff, _DL_HALF, out=scratch)
         else:
-            late = valid & (self._head_deadline < now)
+            np.less(self._head_deadline, now, out=scratch)
+        late = np.logical_and(scratch, valid, out=scratch)
         # Per-scenario count_misses policies recur across cycles, so
         # the broadcast mask is memoized instead of rebuilt per cycle.
         count_key = tuple(count_s)
@@ -831,9 +798,8 @@ class CampaignEngine:
             )
         counted_late = late & counting[:, None]
         if bk.any(counted_late):
-            counted_np = np.asarray(bk.to_numpy(counted_late))
-            for s in np.nonzero(counted_np.any(axis=1))[0]:
-                misses[int(s)].extend(np.nonzero(counted_np[s])[0].tolist())
+            for s in np.nonzero(counted_late.any(axis=1))[0]:
+                misses[int(s)].extend(np.nonzero(counted_late[s])[0].tolist())
             self._register_misses(counted_late)
 
         # PRIORITY_UPDATE: per-scenario circulate/consume (queue-backed,
@@ -993,28 +959,23 @@ class CampaignEngine:
         if offsets is None:
             offs = bk.where(loaded, self._init_deadline, 0)
         else:
-            offs = bk.from_numpy(
-                np.ascontiguousarray(
-                    np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
-                )
+            offs = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
             )
         if step is None:
             steps = self._period
         else:
-            steps = bk.from_numpy(
-                np.ascontiguousarray(
-                    np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
-                )
+            steps = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
             )
         if stride is None:
             strides = None
         else:
-            strides_np = np.broadcast_to(
-                np.asarray(stride, dtype=np.int64), shape
+            strides = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(stride, dtype=np.int64), shape)
             )
-            if (strides_np < 1).any():
+            if (strides < 1).any():
                 raise ValueError("stride must be >= 1")
-            strides = bk.from_numpy(np.ascontiguousarray(strides_np))
 
         if self._jit is not None and not self.trace_timeline:
             # Whole-run compiled driver: the K-cycle loop runs inside
@@ -1086,7 +1047,7 @@ class CampaignEngine:
                 circulated = gather_col(emitted, last)
             # One-hot circulated-winner mask over active scenarios; all
             # per-cycle updates below are full-array masked rebinds, so
-            # the loop body is pure backend ops (no scatter indexing).
+            # the loop body is pure array ops (no scatter indexing).
             onehot = iota[None, :] == circulated[:, None]
             sel = active[:, None] & onehot
             if consume == "winner":
@@ -1130,10 +1091,7 @@ class CampaignEngine:
                 consumed = bk.where(valid, consumed + 1, consumed)
             self._wins = bk.where(sel, self._wins + 1, self._wins)
             if winners is not None:
-                active_np = np.asarray(bk.to_numpy(active))
-                winners[active_np, t] = np.asarray(bk.to_numpy(circulated))[
-                    active_np
-                ]
+                winners[active, t] = circulated[active]
             self.control.schedule(
                 self._schedule_passes, detail=f"t={t}" if trace else ""
             )
@@ -1147,19 +1105,14 @@ class CampaignEngine:
         self, n_cycles: int, winners: np.ndarray | None
     ) -> list[PeriodicRunResult]:
         """Snapshot the per-scenario counters into run results."""
-        bk = self._b
-        loaded_np = np.asarray(bk.to_numpy(self._loaded))
-        wins_np = np.asarray(bk.to_numpy(self._wins))
-        missed_np = np.asarray(bk.to_numpy(self._missed))
-        serviced_np = np.asarray(bk.to_numpy(self._serviced))
         return [
             PeriodicRunResult(
-                n_streams=int(loaded_np[s].sum()),
+                n_streams=int(self._loaded[s].sum()),
                 decision_cycles=n_cycles,
-                wins=wins_np[s].copy(),
-                misses=missed_np[s].copy(),
-                serviced=serviced_np[s].copy(),
-                frames_scheduled=int(serviced_np[s].sum()),
+                wins=self._wins[s].copy(),
+                misses=self._missed[s].copy(),
+                serviced=self._serviced[s].copy(),
+                frames_scheduled=int(self._serviced[s].sum()),
                 winners=winners[s].copy() if winners is not None else None,
             )
             for s in range(self.n_scenarios)
@@ -1310,7 +1263,7 @@ class TensorScheduler:
         trace_timeline: bool = False,
         trace=None,
         observer=None,
-        engine_backend: str | ArrayApiBackend = "numpy",
+        engine_backend: str | NumpyBackend = "numpy",
     ) -> None:
         self.config = config
         self.trace = trace

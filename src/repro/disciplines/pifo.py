@@ -904,10 +904,10 @@ def run_pifo_bucket(
 ) -> list[dict]:
     """Tensorized bucket run: all same-shape scenarios in one engine.
 
-    ``engine_backend`` selects the campaign engine's array namespace
-    (``"numpy"``, ``"numba"`` for the fused compiled kernels, or any
-    other :mod:`repro.core.backend` name/instance); summaries are
-    byte-identical across backends.
+    ``engine_backend`` selects the campaign engine's backend
+    (``"numpy"``, ``"numba"`` for the fused compiled kernels, or a
+    :mod:`repro.core.backend` instance); summaries are byte-identical
+    across backends.
     """
     if isinstance(fn, str):
         fn = rank_function(fn)

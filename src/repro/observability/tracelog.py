@@ -1,4 +1,4 @@
-"""Bounded, category-tagged event log (absorbed from ``repro.sim.trace``).
+"""Bounded, category-tagged event log.
 
 The paper's evaluation reasons about *sequences* — which stream won
 each decision cycle, when each transfer fired, when each frame hit the
@@ -9,8 +9,8 @@ debugging experiment drivers.
 
 This module is the home of the legacy free-form log; the structured,
 engine-emitted decision trace lives in
-:mod:`repro.observability.events`.  ``repro.sim.trace`` re-exports
-these names for backward compatibility.
+:mod:`repro.observability.events`.  ``repro.sim`` re-exports these
+names.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Tests for the structured trace log (and its deprecated shim)."""
+"""Tests for the structured trace log."""
 
-import importlib
 import os
 import subprocess
 import sys
@@ -11,23 +10,9 @@ from repro.observability.tracelog import TraceLog
 
 
 class TestDeprecatedShim:
-    """``repro.sim.trace`` is a pure re-export since the observability
-    layer absorbed it; importing it must warn, importing ``repro.sim``
-    must not (it routes through the canonical home)."""
-
-    def test_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.sim.trace is deprecated"):
-            import repro.sim.trace as shim
-
-            importlib.reload(shim)
-
-    def test_shim_still_reexports_canonical_classes(self):
-        from repro.observability.tracelog import TraceEvent
-
-        import repro.sim.trace as shim
-
-        assert shim.TraceLog is TraceLog
-        assert shim.TraceEvent is TraceEvent
+    """The ``repro.sim.trace`` shim is gone; ``repro.sim`` re-exports
+    the trace log from its canonical home, so importing it must not
+    warn."""
 
     def test_package_import_stays_warning_free(self):
         import repro
